@@ -1,17 +1,16 @@
-//! The two campaign workloads: all 13 Table-3 applications × {baseline,
-//! A&J, APT-GET} through `apt_bench::eval::run_campaign`, with exact
-//! simulation at a small scale (`campaign-exact`) or sampled measurement
-//! runs over a warm profile cache at a larger scale (`campaign-sampled`).
+//! The `campaign-exact` workload: all 13 Table-3 applications ×
+//! {baseline, A&J, APT-GET} through `apt_bench::eval::run_campaign`, with
+//! exact simulation at a small scale. Also the campaign plumbing the
+//! serve workload shares: campaigns over a subset of applications, exact
+//! or sampled, and the traced per-cell loop.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 use apt_bench::cache::ProfileCache;
 use apt_bench::eval::{
-    run_campaign, CacheOutcome, CampaignConfig, CampaignReport, CellResult, SampledCell,
-    SamplingSpec, Variant,
+    run_campaign, CacheOutcome, CampaignConfig, CampaignReport, CellResult, SamplingSpec, Variant,
 };
 use apt_bench::pool::PoolStats;
 use apt_bench::AJ_STATIC_DISTANCE;
@@ -24,17 +23,15 @@ use aptget::{
     PipelineConfig, ProfileData,
 };
 
+use crate::calib::{self, Speed};
 use crate::{
-    cached_cycles, cycle_error_pct, fastest, fnv1a, median, peak_rss_mb, secs, timed, Outcome,
-    RunDir,
+    cached_cycles, cycle_error_pct, fnv1a, median, peak_rss_mb, secs, sum_of_medians, timed,
+    Outcome, RunDir,
 };
 
 /// Scale of `campaign-exact`: small enough that the known APT-GET
 /// slowdowns (BFS, DFS, Graph500) show.
 pub const EXACT_SCALE: f64 = 0.05;
-/// Scale of `campaign-sampled`: 5× the footprint of the exact campaign,
-/// where sampling pays.
-pub const SAMPLED_SCALE: f64 = 0.25;
 /// Set-up repetitions whose median is `setup_s`: at least this many...
 const SETUP_REPEATS: usize = 3;
 /// ...and, when set-up is cheap, enough to fill this many seconds.
@@ -63,11 +60,11 @@ pub struct Plan {
 }
 
 impl Plan {
-    fn new(sampled: bool, seed: u64) -> Plan {
-        let scale = if sampled { SAMPLED_SCALE } else { EXACT_SCALE };
+    /// The `campaign-exact` campaign.
+    fn exact(seed: u64) -> Plan {
         Plan {
-            sampled,
-            scale,
+            sampled: false,
+            scale: EXACT_SCALE,
             seed,
             workloads: &[],
         }
@@ -102,12 +99,12 @@ impl Plan {
             .collect()
     }
 
-    /// The campaign configuration `apteval` would build: serial, default
-    /// pipeline, default `SampleConfig` when sampled.
-    fn config(&self, cache_dir: Option<&Path>) -> CampaignConfig {
+    /// The campaign configuration `apteval --no-cache` would build: serial,
+    /// default pipeline, default `SampleConfig` when sampled.
+    fn config(&self) -> CampaignConfig {
         CampaignConfig {
             workloads: self.workloads.iter().map(|s| s.to_string()).collect(),
-            cache: cache_dir.map(ProfileCache::new),
+            cache: None,
             sampling: self.sampled.then(|| SamplingSpec {
                 sample: SampleConfig::default(),
                 check_exact: false,
@@ -117,49 +114,18 @@ impl Plan {
     }
 }
 
-/// What set-up leaves behind for the measured campaigns.
-struct Setup {
-    /// The filled profile cache (`campaign-sampled` only).
-    cache: Option<RunDir>,
-    profile_run_s: f64,
-    profile_insts: u64,
-}
-
-/// Builds every workload's inputs and, for the sampled campaign, fills a
-/// fresh profile cache with each application's profiling run, so that the
-/// measured APT-GET cells load their profiles instead of re-profiling.
-fn setup(plan: Plan) -> Setup {
-    let pipeline = PipelineConfig::default();
-    let cache_dir = plan.sampled.then(|| RunDir::new("profile-cache"));
-    let cache = cache_dir.as_ref().map(|d| ProfileCache::new(&d.0));
-    let mut s = Setup {
-        cache: None,
-        profile_run_s: 0.0,
-        profile_insts: 0,
-    };
+/// Builds every workload's inputs: the work a campaign does before its
+/// first simulation.
+fn setup(plan: Plan) {
     for desc in plan.descriptors() {
-        let w = desc.build();
-        if let Some(cache) = &cache {
-            let (exec, t) = timed(|| execute(&w.module, w.image, &w.calls, &pipeline.profile_sim));
-            s.profile_run_s += t;
-            let key = ProfileCache::key(desc.name(), desc.scale, desc.seed, &pipeline.profile_sim);
-            match exec {
-                Ok(exec) => {
-                    s.profile_insts += exec.stats.instructions;
-                    cache.store(key, &exec.profile, &exec.stats);
-                }
-                Err(e) => println!("# set-up profiling of {} failed: {e}", desc.name()),
-            }
-        }
+        std::hint::black_box(desc.build());
     }
-    s.cache = cache_dir;
-    s
 }
 
 /// One `run_campaign`; a panicking cell (failed check or simulation
 /// error) is caught and reported as a failed campaign.
-pub fn campaign(plan: Plan, cache_dir: Option<&Path>) -> Option<CampaignReport> {
-    let cfg = plan.config(cache_dir);
+pub fn campaign(plan: Plan) -> Option<CampaignReport> {
+    let cfg = plan.config();
     match catch_unwind(AssertUnwindSafe(|| run_campaign(&cfg))) {
         Ok(Ok(r)) => Some(r),
         Ok(Err(e)) => {
@@ -176,8 +142,8 @@ pub fn cell_key(c: &CellResult) -> String {
 
 /// Per-cell cycles of `plan`'s campaign, run on two threads (the
 /// table does not depend on the job count); empty if the campaign fails.
-pub fn cell_cycles(plan: Plan, cache_dir: Option<&Path>) -> BTreeMap<String, u64> {
-    let mut cfg = plan.config(cache_dir);
+pub fn cell_cycles(plan: Plan) -> BTreeMap<String, u64> {
+    let mut cfg = plan.config();
     cfg.jobs = 2;
     match catch_unwind(AssertUnwindSafe(|| run_campaign(&cfg))) {
         Ok(Ok(r)) => r
@@ -206,25 +172,20 @@ fn optimize_s(c: &CellResult) -> f64 {
         .sum()
 }
 
-/// Per-cell cycles of the same 39 cells simulated the *other* way (exact
-/// for the sampled campaign, sampled for the exact one), from this very
-/// binary. Deterministic, so cached per binary hash and seed.
-fn oracle(plan: Plan, cache_dir: Option<&Path>) -> BTreeMap<String, u64> {
-    let other = Plan {
-        sampled: !plan.sampled,
+/// Per-cell cycles of the same 39 cells simulated by the sampled
+/// simulator (default `SampleConfig`), from this very binary.
+/// Deterministic, so cached per binary hash and seed.
+fn oracle(plan: Plan) -> BTreeMap<String, u64> {
+    let sampled = Plan {
+        sampled: true,
         ..plan
     };
-    let key = format!(
-        "{}-{}-{}",
-        if other.sampled { "sampled" } else { "exact" },
-        other.scale,
-        other.seed
-    );
-    cached_cycles(&key, || cell_cycles(other, cache_dir))
+    let key = format!("sampled-{}-{}", sampled.scale, sampled.seed);
+    cached_cycles(&key, || cell_cycles(sampled))
 }
 
-pub fn run(sampled: bool, seed: u64, budget: Duration, trace: bool) -> Outcome {
-    let plan = Plan::new(sampled, seed);
+pub fn run(seed: u64, budget: Duration, trace: bool) -> Outcome {
+    let plan = Plan::exact(seed);
     if trace {
         run_traced(plan)
     } else {
@@ -232,75 +193,90 @@ pub fn run(sampled: bool, seed: u64, budget: Duration, trace: bool) -> Outcome {
     }
 }
 
-/// The end-to-end run, tracing off: back-to-back campaigns for the time
-/// budget, with set-up repeated in between, since the host's speed
-/// drifts over seconds and samples spread across the run are steadier.
+/// What one replica of the end-to-end run measured.
+#[derive(Default)]
+struct Replica {
+    attempted: u64,
+    failed: u64,
+    setup_times: Vec<f64>,
+    /// Calibration kernel times, one beside each campaign.
+    calib: Vec<f64>,
+    /// Per-cell host times across the replica's campaigns.
+    cell_s: BTreeMap<String, Vec<f64>>,
+    /// Per-cell optimize spans across the replica's APT-GET cells.
+    optimize: BTreeMap<String, Vec<f64>>,
+    campaigns: usize,
+    first: Option<CampaignReport>,
+}
+
+/// Replicas of the end-to-end run, one per core, at most two. The host is
+/// shared with other tenants, whose load slows each cell by up to 2× for
+/// seconds at a time; two replicas on two cores take twice the samples in
+/// the same run. The replicas do not slow each other down measurably
+/// (measured: 15 campaigns each in 60 s side by side, 14 alone).
+pub fn replicas() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(2))
+}
+
+/// The end-to-end run, tracing off: each replica runs back-to-back
+/// campaigns for the time budget, with set-up repeated in between, since
+/// the host's speed drifts over seconds and samples spread across the
+/// run are steadier. The calibration kernel runs beside each campaign.
+/// A cell's cost is its median over the run, and host times are reported
+/// at the reference speed ([`calib`]).
 fn run_untraced(plan: Plan, budget: Duration) -> Outcome {
     let mut o = Outcome::default();
-    let (mut setup, first_setup_s) = timed(|| setup(plan));
-    let mut setup_times = vec![first_setup_s];
-
-    // Per-cell host times across the run's campaigns; every time metric
-    // takes each cell at its fastest repetition (see `fastest`).
+    calib::reserve(replicas());
+    // One campaign alone first, untimed: it warms the caches, and the
+    // resident set then peaks at one campaign's, not at wherever the two
+    // replicas' largest cells happen to meet.
+    let mut first = campaign(plan);
+    o.check(first.is_some(), || "warm-up campaign failed".into());
+    o.set("peak_rss_mb", peak_rss_mb());
+    let runs: Vec<Option<Replica>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..replicas())
+            .map(|i| scope.spawn(move || replica(plan, budget, i)))
+            .collect();
+        handles.into_iter().map(|h| h.join().ok()).collect()
+    });
+    let mut setup_times = Vec::new();
+    let mut calib = Vec::new();
     let mut cell_s: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     let mut optimize: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     let mut campaigns = 0;
-    let mut first: Option<CampaignReport> = None;
-    let mut measured = 0.0;
-    let cells = (plan.descriptors().len() * Variant::ALL.len()) as u64;
-    loop {
-        let (report, t) = timed(|| campaign(plan, setup.cache.as_ref().map(|d| d.0.as_path())));
-        measured += t;
-        match report {
-            None => o.absorb_counts(cells, cells),
-            Some(r) => {
-                // Every cell that returned passed its workload's check.
-                o.absorb_counts(r.cells.len() as u64, 0);
-                campaigns += 1;
-                println!("# campaign {campaigns}: {:.3} s", r.wall_us as f64 / 1e6);
-                for c in &r.cells {
-                    let wall = c.wall_us as f64 / 1e6;
-                    cell_s.entry(cell_key(c)).or_default().push(wall);
-                    if c.variant == Variant::AptGet {
-                        optimize.entry(cell_key(c)).or_default().push(optimize_s(c));
-                    }
-                }
-                match &first {
-                    None => first = Some(r),
-                    Some(f) => {
-                        let same = f.table_text() == r.table_text();
-                        o.check(same, || "campaign table differs between runs".into());
-                    }
-                }
+    for r in runs {
+        // A replica that panicked outside a campaign leaves no samples.
+        let Some(r) = r else {
+            o.check(false, || "a replica of the run did not finish".into());
+            continue;
+        };
+        o.absorb_counts(r.attempted, r.failed);
+        setup_times.extend(r.setup_times);
+        calib.extend(r.calib);
+        for (k, v) in r.cell_s {
+            cell_s.entry(k).or_default().extend(v);
+        }
+        for (k, v) in r.optimize {
+            optimize.entry(k).or_default().extend(v);
+        }
+        campaigns += r.campaigns;
+        match (&first, r.first) {
+            (None, f) => first = f,
+            (Some(f), Some(g)) => {
+                let same = f.table_text() == g.table_text();
+                o.check(same, || "campaign table differs between runs".into());
             }
-        }
-        // Keep set-up samples in step with the run's progress: at least
-        // `SETUP_REPEATS` of them, and for a cheap set-up about
-        // `SETUP_SECONDS` of them, spread across the run.
-        let total = budget.as_secs_f64();
-        let progress = (measured / total).min(1.0);
-        while setup_times.len() < 50
-            && (setup_times.len()
-                < (1 + (SETUP_REPEATS as f64 * progress) as usize).min(SETUP_REPEATS)
-                || setup_times.iter().sum::<f64>() < SETUP_SECONDS * progress)
-        {
-            let (again, t) = timed(|| self::setup(plan));
-            setup_times.push(t);
-            setup = again;
-        }
-        // Start another campaign only if it should end within the budget.
-        let per = measured / (campaigns.max(1)) as f64;
-        if measured + per > total {
-            break;
+            (Some(_), None) => {}
         }
     }
-    while setup_times.len() < SETUP_REPEATS {
-        setup_times.push(timed(|| self::setup(plan)).1);
-    }
-    o.set("setup_s", median(&setup_times));
-    println!("# set-ups {}", setup_times.len());
+    let speed = Speed::from_samples(&calib);
+    o.set("setup_s", speed.at_reference(median(&setup_times)));
+    println!(
+        "# set-ups {}, median {:.6} s as measured",
+        setup_times.len(),
+        median(&setup_times)
+    );
 
-    o.set("peak_rss_mb", peak_rss_mb());
     let Some(report) = first else {
         o.finish_common();
         return o;
@@ -313,12 +289,15 @@ fn run_untraced(plan: Plan, budget: Duration) -> Outcome {
     println!("# campaigns {campaigns}");
 
     let speedups = apt_speedups(&report.comparisons);
-    let cells = fastest(&cell_s);
-    let campaign_s: f64 = cells.values().sum();
+    let measured_s = sum_of_medians(&cell_s);
+    let measured_opt_s = sum_of_medians(&optimize);
+    println!("# as measured: campaign {measured_s:.6} s, optimize {measured_opt_s:.6} s");
+    let campaign_s = speed.simulation_at_reference(measured_s);
     let insts: u64 = report.cells.iter().map(|c| c.stats.instructions).sum();
     o.set("campaign_s", campaign_s);
     o.set("sim_minsts_per_s", insts as f64 / campaign_s / 1e6);
-    o.set("optimize_s", fastest(&optimize).values().sum());
+    // Mostly the APT-GET profiling run, a simulation.
+    o.set("optimize_s", speed.simulation_at_reference(measured_opt_s));
     o.set("apt_speedup_geomean", geomean(&speedups));
     o.set(
         "apt_speedup_min",
@@ -331,13 +310,7 @@ fn run_untraced(plan: Plan, budget: Duration) -> Outcome {
         .iter()
         .map(|c| (cell_key(c), c.stats.cycles))
         .collect();
-    let other = oracle(plan, setup.cache.as_ref().map(|d| d.0.as_path()));
-    let (sampled_c, exact_c) = if plan.sampled {
-        (&measured, &other)
-    } else {
-        (&other, &measured)
-    };
-    match cycle_error_pct(sampled_c, exact_c) {
+    match cycle_error_pct(&oracle(plan), &measured) {
         Some((max, mean)) => {
             o.set("sampled_cycle_err_max_pct", max);
             o.set("sampled_cycle_err_mean_pct", mean);
@@ -346,6 +319,77 @@ fn run_untraced(plan: Plan, budget: Duration) -> Outcome {
     }
     o.finish_common();
     o
+}
+
+/// One replica: back-to-back campaigns until the budget is spent, set-up
+/// repeated in step with the replica's progress.
+fn replica(plan: Plan, budget: Duration, index: usize) -> Replica {
+    let mut r = Replica::default();
+    r.setup_times.push(timed(|| setup(plan)).1);
+    let mut measured = 0.0;
+    let cells = (plan.descriptors().len() * Variant::ALL.len()) as u64;
+    loop {
+        let ((report, t), k) = calib::beside(index, || timed(|| campaign(plan)));
+        r.calib.push(k);
+        measured += t;
+        match report {
+            None => {
+                r.attempted += cells;
+                r.failed += cells;
+            }
+            Some(report) => {
+                // Every cell that returned passed its workload's check.
+                r.attempted += report.cells.len() as u64;
+                r.campaigns += 1;
+                println!(
+                    "# replica {index} campaign {}: {:.3} s",
+                    r.campaigns,
+                    report.wall_us as f64 / 1e6
+                );
+                for c in &report.cells {
+                    let wall = c.wall_us as f64 / 1e6;
+                    r.cell_s.entry(cell_key(c)).or_default().push(wall);
+                    if c.variant == Variant::AptGet {
+                        r.optimize
+                            .entry(cell_key(c))
+                            .or_default()
+                            .push(optimize_s(c));
+                    }
+                }
+                match &r.first {
+                    None => r.first = Some(report),
+                    Some(f) => {
+                        r.attempted += 1;
+                        if f.table_text() != report.table_text() {
+                            r.failed += 1;
+                            println!("# CHECK FAILED: campaign table differs between runs");
+                        }
+                    }
+                }
+            }
+        }
+        // Keep set-up samples in step with the run's progress: at least
+        // `SETUP_REPEATS` of them, and for a cheap set-up about
+        // `SETUP_SECONDS` of them, spread across the run.
+        let total = budget.as_secs_f64();
+        let progress = (measured / total).min(1.0);
+        let wanted = (1 + (SETUP_REPEATS as f64 * progress) as usize).min(SETUP_REPEATS);
+        while r.setup_times.len() < 50
+            && (r.setup_times.len() < wanted
+                || r.setup_times.iter().sum::<f64>() < SETUP_SECONDS * progress)
+        {
+            r.setup_times.push(timed(|| setup(plan)).1);
+        }
+        // Start another campaign only if it should end within the budget.
+        let per = measured / (r.campaigns.max(1)) as f64;
+        if measured + per > total {
+            break;
+        }
+    }
+    while r.setup_times.len() < SETUP_REPEATS {
+        r.setup_times.push(timed(|| setup(plan)).1);
+    }
+    r
 }
 
 /// Per-layer accumulators of the traced run.
@@ -385,10 +429,10 @@ impl Layers {
 /// same 39 cells driven from this file with a timer around every call
 /// into a layer. The traced loop must reproduce the reference table byte
 /// for byte; its extra wall time over the reference is the tracing
-/// overhead. Each cell is also simulated the other way (exact or
-/// sampled, outside the timed loop) so both the `cpu`/`mem` and the
-/// `sample` layers are measured on this workload's cells, and the
-/// APT-GET profiles then drive the serve-layer probe.
+/// overhead. Each cell is also simulated by the sampled simulator,
+/// outside the timed loop, so both the `cpu`/`mem` and the `sample`
+/// layers are measured on this workload's cells, and the APT-GET
+/// profiles then drive the serve-layer probe.
 fn run_traced(plan: Plan) -> Outcome {
     let mut o = Outcome::default();
     let profiles = campaign_layers(plan, &mut o);
@@ -414,20 +458,13 @@ fn run_traced(plan: Plan) -> Outcome {
 /// profile for the serve-layer probe.
 pub fn campaign_layers(plan: Plan, o: &mut Outcome) -> Vec<(String, ProfileData, PerfStats)> {
     let pipeline = PipelineConfig::default();
-    let setup = setup(plan);
-    let cache_dir = setup.cache.as_ref().map(|d| d.0.as_path());
-    let cache = cache_dir.map(ProfileCache::new);
     let probe_cache_dir = RunDir::new("probe-cache");
     let probe_cache = ProfileCache::new(&probe_cache_dir.0);
 
-    let (reference, ref_wall) = timed(|| campaign(plan, cache_dir));
+    let (reference, ref_wall) = timed(|| campaign(plan));
     o.check(reference.is_some(), || "reference campaign failed".into());
 
-    let mut l = Layers {
-        profile_run_s: setup.profile_run_s,
-        profile_insts: setup.profile_insts,
-        ..Layers::default()
-    };
+    let mut l = Layers::default();
     let mut cells = Vec::new();
     let mut profiles: Vec<(String, ProfileData, PerfStats)> = Vec::new();
     let mut outside = 0.0; // seconds spent in probes that run_campaign does not do
@@ -449,37 +486,25 @@ pub fn campaign_layers(plan: Plan, o: &mut Outcome) -> Vec<(String, ProfileData,
                     (m, 0, None)
                 }
                 Variant::AptGet => {
-                    let key = ProfileCache::key(name, desc.scale, desc.seed, &pipeline.profile_sim);
-                    let (loaded, t) = timed(|| cache.as_ref().and_then(|c| c.load(key)));
-                    l.cache_load_s += t;
-                    let (profile, stats, outcome) = match loaded {
-                        Some((p, s)) => (p, s, CacheOutcome::Hit),
-                        None => {
-                            let (exec, t) = timed(|| {
-                                execute(&w.module, w.image.clone(), &w.calls, &pipeline.profile_sim)
-                            });
-                            l.profile_run_s += t;
-                            let Ok(exec) = exec else {
-                                o.check(false, || format!("{name}: profiling run failed"));
-                                continue;
-                            };
-                            l.profile_insts += exec.stats.instructions;
-                            // The exact campaign runs uncached; a store and
-                            // load through a scratch cache measures the
-                            // cache layer on this workload's profiles.
-                            let t0 = Instant::now();
-                            probe_cache.store(key, &exec.profile, &exec.stats);
-                            let (_, t) = timed(|| probe_cache.load(key));
-                            l.cache_load_s += t;
-                            outside += secs(t0);
-                            let outcome = if cache.is_some() {
-                                CacheOutcome::MissStored
-                            } else {
-                                CacheOutcome::Uncached
-                            };
-                            (exec.profile, exec.stats, outcome)
-                        }
+                    let (exec, t) = timed(|| {
+                        execute(&w.module, w.image.clone(), &w.calls, &pipeline.profile_sim)
+                    });
+                    l.profile_run_s += t;
+                    let Ok(exec) = exec else {
+                        o.check(false, || format!("{name}: profiling run failed"));
+                        continue;
                     };
+                    l.profile_insts += exec.stats.instructions;
+                    // The campaign runs uncached; a store and load through
+                    // a scratch cache measures the cache layer on this
+                    // workload's profiles.
+                    let key = ProfileCache::key(name, desc.scale, desc.seed, &pipeline.profile_sim);
+                    let t0 = Instant::now();
+                    probe_cache.store(key, &exec.profile, &exec.stats);
+                    let (_, t) = timed(|| probe_cache.load(key));
+                    l.cache_load_s += t;
+                    outside += secs(t0);
+                    let (profile, stats) = (exec.profile, exec.stats);
                     let map = w.module.assign_pcs();
                     let (analysis, t) = timed(|| {
                         apt_profile::analyze_traced(
@@ -499,7 +524,11 @@ pub fn campaign_layers(plan: Plan, o: &mut Outcome) -> Vec<(String, ProfileData,
                     let (_, t) = timed(|| apt_passes::optimize_module(&mut optimized));
                     l.cleanup_s += t;
                     profiles.push((name.to_string(), profile, stats));
-                    (optimized, injection.injected.len(), Some(outcome))
+                    (
+                        optimized,
+                        injection.injected.len(),
+                        Some(CacheOutcome::Uncached),
+                    )
                 }
             };
 
@@ -509,69 +538,43 @@ pub fn campaign_layers(plan: Plan, o: &mut Outcome) -> Vec<(String, ProfileData,
             } else {
                 TraceConfig::off()
             };
-            let exact = |l: &mut Layers| {
-                let (r, t) = timed(|| {
-                    execute_traced(
-                        &module,
-                        w.image.clone(),
-                        &w.calls,
-                        &pipeline.measure_sim,
-                        trace,
-                    )
-                });
-                r.ok().map(|(exec, report)| {
-                    l.exact_run(t, &exec.stats);
-                    if outcomes_on {
-                        l.pf_issued += report.outcomes.total.issued;
-                        l.pf_timely += report.outcomes.total.timely;
-                        l.pf_redundant += report.outcomes.total.redundant;
-                    }
-                    (exec.stats, exec.image, exec.rets, exec.timeline)
-                })
-            };
-            let sampled = |l: &mut Layers| {
-                let (r, t) = timed(|| {
-                    run_sampled(
-                        &module,
-                        w.image.clone(),
-                        &w.calls,
-                        &pipeline.measure_sim,
-                        &SampleConfig::default(),
-                        TraceConfig::off(),
-                    )
-                });
-                r.ok().map(|s| {
-                    l.sample_s += t;
-                    l.detail_fraction.push(s.detail_fraction());
-                    l.windows += s.windows.len() as u64;
-                    let cell = SampledCell {
-                        cycle_err: None,
-                        ipc_err: None,
-                        exact_cycles: None,
-                        detail_fraction: s.detail_fraction(),
-                        windows: s.windows.len() as u64,
-                        rel_half_width: s.ci.rel_half_width,
-                    };
-                    ((s.stats, s.image, s.rets, s.timeline), cell)
-                })
-            };
-            // The measurement run the campaign itself makes...
-            let (measured, sampled_cell) = if plan.sampled {
-                match sampled(&mut l) {
-                    Some((m, c)) => (Some(m), Some(c)),
-                    None => (None, None),
+            let (r, t) = timed(|| {
+                execute_traced(
+                    &module,
+                    w.image.clone(),
+                    &w.calls,
+                    &pipeline.measure_sim,
+                    trace,
+                )
+            });
+            let measured = r.ok().map(|(exec, report)| {
+                l.exact_run(t, &exec.stats);
+                if outcomes_on {
+                    l.pf_issued += report.outcomes.total.issued;
+                    l.pf_timely += report.outcomes.total.timely;
+                    l.pf_redundant += report.outcomes.total.redundant;
                 }
-            } else {
-                (exact(&mut l), None)
-            };
-            // ...and the other kind, which the campaign does not make.
-            let t0 = Instant::now();
-            let other_ok = if plan.sampled {
-                exact(&mut l).is_some()
-            } else {
-                sampled(&mut l).is_some()
-            };
-            outside += secs(t0);
+                (exec.stats, exec.image, exec.rets, exec.timeline)
+            });
+            // A sampled run of the same cell, which the campaign does not
+            // make: it measures the `sample` layer on this workload.
+            let (r, t) = timed(|| {
+                run_sampled(
+                    &module,
+                    w.image.clone(),
+                    &w.calls,
+                    &pipeline.measure_sim,
+                    &SampleConfig::default(),
+                    TraceConfig::off(),
+                )
+            });
+            outside += t;
+            let other_ok = r.is_ok();
+            if let Ok(s) = r {
+                l.sample_s += t;
+                l.detail_fraction.push(s.detail_fraction());
+                l.windows += s.windows.len() as u64;
+            }
             o.check(other_ok, || {
                 format!("{name} [{}]: probe simulation failed", variant.name())
             });
@@ -598,7 +601,7 @@ pub fn campaign_layers(plan: Plan, o: &mut Outcome) -> Vec<(String, ProfileData,
                 spans: spans.into_spans(),
                 outcomes: None,
                 timeline,
-                sampled: sampled_cell,
+                sampled: None,
             });
         }
     }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload campaign-exact --seed 7 --seconds 20 --trace 0
+//!     --workload campaign-exact --seed 7 --seconds 50 --trace 0
 //! ```
 //!
 //! Every run prints `#`-prefixed diagnostic lines (host fingerprint,
@@ -15,6 +15,7 @@
 //! ([`PER_LAYER`]). `README.md` beside this file defines each metric on
 //! each workload and which layer metric should move which end-to-end one.
 
+mod calib;
 mod campaign;
 mod serve;
 
@@ -88,7 +89,7 @@ fn parse_args() -> Result<Args, String> {
     let mut out = Args {
         workload: String::new(),
         seed: 1,
-        seconds: 20,
+        seconds: 50,
         trace: false,
     };
     let mut it = std::env::args().skip(1);
@@ -159,7 +160,7 @@ fn main() {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: perfbench --workload campaign-exact|campaign-sampled|serve-mixed \
+                "usage: perfbench --workload campaign-exact|serve-mixed \
                  --seed N --seconds S --trace 0|1"
             );
             std::process::exit(2);
@@ -167,10 +168,7 @@ fn main() {
     };
     let budget = Duration::from_secs(args.seconds);
     let outcome = match args.workload.as_str() {
-        "campaign-exact" | "campaign-sampled" => {
-            let sampled = args.workload == "campaign-sampled";
-            campaign::run(sampled, args.seed, budget, args.trace)
-        }
+        "campaign-exact" => campaign::run(args.seed, budget, args.trace),
         "serve-mixed" => serve::run(args.seed, budget, args.trace),
         other => {
             eprintln!("error: unknown workload `{other}`");
@@ -235,18 +233,16 @@ pub fn quantile(v: &[f64], q: f64) -> f64 {
     s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
 }
 
-/// Each key's fastest sample. For a fixed unit of work repeated in one
-/// run this is its cost with the host's noise removed: co-tenants on a
-/// shared host only ever slow a repetition down, in phases that can
-/// cover most of a run, so the minimum is far steadier than the median.
-pub fn fastest(samples: &BTreeMap<String, Vec<f64>>) -> BTreeMap<&str, f64> {
-    samples
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.iter().copied().fold(f64::INFINITY, f64::min)))
-        .collect()
+/// Σ over keys of each key's median sample: the cost of a set of fixed
+/// units of work, each repeated through a run. Divided by the run's
+/// calibration ([`calib::Speed`]), medians are steadier from run to run
+/// than minima, which catch the host's quiet moments unevenly.
+pub fn sum_of_medians(samples: &BTreeMap<String, Vec<f64>>) -> f64 {
+    samples.values().map(|v| median(v)).sum()
 }
 
-/// Peak resident set of this process, MB (`VmHWM`).
+/// Peak resident set of this process, MB (`VmHWM`), less the calibration
+/// kernel's buffers, which stay resident from before the measured work.
 pub fn peak_rss_mb() -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
@@ -255,7 +251,7 @@ pub fn peak_rss_mb() -> f64 {
                 .find_map(|l| l.strip_prefix("VmHWM:"))
                 .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         })
-        .map_or(0.0, |kb| kb / 1024.0)
+        .map_or(0.0, |kb| kb / 1024.0 - calib::resident_mb())
 }
 
 /// Seconds elapsed since `t`.

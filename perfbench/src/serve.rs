@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use apt_bench::eval::Variant;
 use apt_ingest::{
     detect_drift, parse_str, AggregateProfile, Epoch, GenTag, IdentityRemap, ProfileDb,
 };
@@ -22,8 +23,9 @@ use apt_trace::TraceConfig;
 use apt_workloads::registry::by_name;
 use aptget::{execute_traced, geomean, AptGet, Machine, PipelineConfig};
 
+use crate::calib::{self, Speed};
 use crate::campaign::{self, Plan};
-use crate::{cycle_error_pct, fastest, median, quantile, secs, timed, Outcome, RunDir};
+use crate::{cycle_error_pct, median, quantile, secs, sum_of_medians, timed, Outcome, RunDir};
 
 /// The daemon's tenants, named after the workloads whose profiles they
 /// upload: two whose epochs drift, two that stay steady.
@@ -71,6 +73,10 @@ const LADDER: [(f64, f64); 18] = [
     (REFERENCE_RATE, REFERENCE_STRETCH),
     (400.0, 0.06),
 ];
+/// Share of the time budget the ladder takes. The rest goes to the
+/// tenants' exact campaign, run between the stretches while the daemon
+/// is idle.
+const LADDER_SHARE: f64 = 0.8;
 /// The rate whose upload latencies the run reports.
 const REFERENCE_RATE: f64 = 100.0;
 /// Share of the time budget of one reference stretch.
@@ -206,7 +212,7 @@ fn setup(seed: u64) -> Setup {
         }
     }
 
-    match campaign::campaign(tenants_plan(false, seed), None) {
+    match campaign::campaign(tenants_plan(false, seed)) {
         Some(r) => {
             s.cells = r.cells.len() as u64;
             s.speedups = r
@@ -226,6 +232,56 @@ fn setup(seed: u64) -> Setup {
         None => s.failures.push("tenant campaign failed".into()),
     }
     s
+}
+
+/// The tenants' exact campaign, back to back on every core for `dur`
+/// (at least once each). These repetitions, spread between the ladder's
+/// stretches, give `sim_minsts_per_s` each cell's median time over the
+/// whole run. The calibration kernel runs beside each campaign; its times
+/// go to `calib`.
+fn tenant_campaigns(
+    seed: u64,
+    dur: Duration,
+    cell_s: &mut BTreeMap<String, Vec<f64>>,
+    calib: &mut Vec<f64>,
+    o: &mut Outcome,
+) {
+    let plan = tenants_plan(false, seed);
+    let reports: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..campaign::replicas())
+            .map(|i| {
+                scope.spawn(move || {
+                    let start = Instant::now();
+                    let mut last = Duration::ZERO;
+                    let mut out = Vec::new();
+                    while out.is_empty() || start.elapsed() + last <= dur {
+                        let t = Instant::now();
+                        out.push(calib::beside(i, || campaign::campaign(plan)));
+                        last = t.elapsed();
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_default())
+            .collect()
+    });
+    let cells = (TENANTS.len() * Variant::ALL.len()) as u64;
+    for (report, k) in reports {
+        calib.push(k);
+        match report {
+            Some(r) => {
+                o.absorb_counts(r.cells.len() as u64, 0);
+                for c in &r.cells {
+                    let wall = c.wall_us as f64 / 1e6;
+                    cell_s.entry(campaign::cell_key(c)).or_default().push(wall);
+                }
+            }
+            None => o.absorb_counts(cells, cells),
+        }
+    }
 }
 
 /// One request of the open loop.
@@ -398,13 +454,15 @@ pub fn run(seed: u64, budget: Duration, trace: bool) -> Outcome {
         return run_traced(seed, budget);
     }
     let mut o = Outcome::default();
+    calib::reserve(campaign::replicas());
     // Set-up repeats between ladder rungs, while the daemon is idle: the
     // host's speed drifts over seconds, and set-up samples spread across
     // the run are steadier than back-to-back ones.
     let (setup, first_setup_s) = timed(|| setup(seed));
     let mut setup_times = vec![first_setup_s];
+    let mut calib = Vec::new();
     let mut cell_s: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    let mut account = |s: &Setup, o: &mut Outcome| {
+    let account = |s: &Setup, o: &mut Outcome, cell_s: &mut BTreeMap<String, Vec<f64>>| {
         o.absorb_counts(s.cells, 0);
         for f in &s.failures {
             o.check(false, || f.clone());
@@ -413,7 +471,7 @@ pub fn run(seed: u64, budget: Duration, trace: bool) -> Outcome {
             cell_s.entry(key.clone()).or_default().push(*t);
         }
     };
-    account(&setup, &mut o);
+    account(&setup, &mut o, &mut cell_s);
 
     let dir = RunDir::new("serve");
     let reopt = reoptimizer(SERVE_SCALE, seed);
@@ -422,7 +480,8 @@ pub fn run(seed: u64, budget: Duration, trace: bool) -> Outcome {
         o.check(r.is_ok(), || format!("{tenant}: initial deployment: {r:?}"));
     }
     // The daemon's own reoptimizations of full (epoch-cap) shards, timed
-    // per tenant: `optimize_s` takes each tenant's fastest.
+    // per tenant: `optimize_s` takes each tenant's fastest, the cost
+    // without the queueing the ladder's rates put beside it.
     let reopt_s: Arc<Mutex<BTreeMap<String, Vec<f64>>>> = Arc::default();
     let timed_reopt: Reopt = {
         let (inner, sink) = (Arc::clone(&reopt), Arc::clone(&reopt_s));
@@ -457,13 +516,19 @@ pub fn run(seed: u64, budget: Duration, trace: bool) -> Outcome {
     let mut rungs: Vec<(f64, f64, bool)> = Vec::new();
     // Upload latencies at the reference rate.
     let mut reference: Vec<f64> = Vec::new();
+    let gap = budget.mul_f64((1.0 - LADDER_SHARE) / (LADDER.len() - 1) as f64);
     for (i, (rate, share)) in LADDER.into_iter().enumerate() {
+        if i > 0 {
+            tenant_campaigns(seed, gap, &mut cell_s, &mut calib, &mut o);
+        }
         if i > 0 && i.is_multiple_of(2) {
             let (again, t) = timed(|| self::setup(seed));
             setup_times.push(t);
-            account(&again, &mut o);
+            account(&again, &mut o, &mut cell_s);
         }
-        let n = (rate * budget.as_secs_f64() * share).round().max(1.0) as usize;
+        let n = (rate * budget.as_secs_f64() * LADDER_SHARE * share)
+            .round()
+            .max(1.0) as usize;
         let requests: Vec<Request> = (0..n).map(|_| mix.next_request()).collect();
         let rung_start = Instant::now();
         let samples = open_loop(addr, &requests, rate);
@@ -520,12 +585,25 @@ pub fn run(seed: u64, budget: Duration, trace: bool) -> Outcome {
     o.set("peak_rss_mb", crate::peak_rss_mb());
     check_final_hints(&dir.0, &reopt, &mut o);
 
-    o.set("setup_s", median(&setup_times));
+    let speed = Speed::from_samples(&calib);
+    o.set("setup_s", speed.at_reference(median(&setup_times)));
     let insts: u64 = setup.cell_work.values().map(|(i, _)| i).sum();
-    let sim_s: f64 = fastest(&cell_s).values().sum();
-    o.set("sim_minsts_per_s", insts as f64 / sim_s / 1e6);
-    let optimize_s: f64 = fastest(&reopt_s.lock().expect("timer lock")).values().sum();
-    o.set("optimize_s", optimize_s);
+    let sim_s = sum_of_medians(&cell_s);
+    let optimize_s: f64 = reopt_s
+        .lock()
+        .expect("timer lock")
+        .values()
+        .map(|v| v.iter().copied().fold(f64::INFINITY, f64::min))
+        .sum();
+    println!(
+        "# as measured: set-up {:.6} s, tenant campaign {sim_s:.6} s, optimize {optimize_s:.6} s",
+        median(&setup_times)
+    );
+    o.set(
+        "sim_minsts_per_s",
+        insts as f64 / speed.simulation_at_reference(sim_s) / 1e6,
+    );
+    o.set("optimize_s", speed.at_reference(optimize_s));
     o.set("apt_speedup_geomean", geomean(&setup.speedups));
     o.set(
         "apt_speedup_min",
@@ -566,11 +644,12 @@ pub fn run(seed: u64, budget: Duration, trace: bool) -> Outcome {
     o
 }
 
-/// Input seeds of the accuracy check: the run's seed and three derived
+/// Input seeds of the accuracy check: the run's seed and seven derived
 /// from it. Graph500's sampled error at this scale swings by a third
-/// from one input to the next; four inputs keep the maximum steady.
-fn accuracy_seeds(seed: u64) -> [u64; 4] {
-    [0, 1, 2, 3].map(|k| seed.wrapping_add(k * 1_000_003))
+/// from one input to the next; with four inputs the maximum still spread
+/// by 0.13 of its median between runs, so eight are used.
+fn accuracy_seeds(seed: u64) -> [u64; 8] {
+    [0, 1, 2, 3, 4, 5, 6, 7].map(|k| seed.wrapping_add(k * 1_000_003))
 }
 
 /// Per-cell cycles of the tenants' campaign over the accuracy seeds,
@@ -580,7 +659,7 @@ fn tenant_cycles(seed: u64, sampled: bool) -> BTreeMap<String, u64> {
     crate::cached_cycles(&format!("serve-{mode}-{SERVE_SCALE}-{seed}"), || {
         let mut out = BTreeMap::new();
         for s in accuracy_seeds(seed) {
-            let cycles = campaign::cell_cycles(tenants_plan(sampled, s), None);
+            let cycles = campaign::cell_cycles(tenants_plan(sampled, s));
             if cycles.is_empty() {
                 return BTreeMap::new();
             }
